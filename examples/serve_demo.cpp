@@ -320,7 +320,6 @@ int RunInProcess(const DemoArgs& args) {
 
   EngineConfig config;
   config.max_batch = 32;
-  config.batch_linger_us = 200;
   // Compact a list as soon as 10% of its entries are tombstones, so the
   // short demo run actually exercises the background compactor.
   config.compaction_tombstone_ratio = 0.10f;

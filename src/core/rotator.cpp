@@ -36,21 +36,21 @@ class DenseRotator final : public Rotator {
     }
   }
 
-  void InverseRotateBatch(const Matrix& queries, Matrix* out) const override {
+  void InverseRotateRows(const float* in, std::size_t in_stride,
+                         std::size_t n, float* out) const override {
     // One (n x D) x (D x B) matrix product, tiled over query groups so each
     // row of P^T streams through cache once per kTile queries instead of
     // once per query -- the B x D matrix traffic that dominates a single
-    // gemv amortizes across the batch. Each output element stays the exact
+    // gemv amortizes across the block. Each output element stays the exact
     // Dot(pt_.Row(i), q, input_dim_) of InverseRotate (not an Axpy-ordered
     // MatMul), preserving the base-class bit-identity contract.
-    out->Reset(queries.rows(), padded_dim_);
     constexpr std::size_t kTile = 8;
-    for (std::size_t q0 = 0; q0 < queries.rows(); q0 += kTile) {
-      const std::size_t q1 = std::min(q0 + kTile, queries.rows());
+    for (std::size_t q0 = 0; q0 < n; q0 += kTile) {
+      const std::size_t q1 = std::min(q0 + kTile, n);
       for (std::size_t i = 0; i < padded_dim_; ++i) {
         const float* p_row = pt_.Row(i);
         for (std::size_t q = q0; q < q1; ++q) {
-          out->At(q, i) = Dot(p_row, queries.Row(q), input_dim_);
+          out[q * padded_dim_ + i] = Dot(p_row, in + q * in_stride, input_dim_);
         }
       }
     }

@@ -47,18 +47,28 @@ class Rotator {
   /// (Section 3.1.3) and query vectors (Section 3.3).
   virtual void InverseRotate(const float* in, float* out) const = 0;
 
-  /// Batched inverse rotation for query serving: `queries` is n x input_dim,
-  /// `out` is reset to n x padded_dim with out->Row(i) = P^T pad(Row(i)).
+  /// Batched inverse rotation of a row block: `in` holds n rows of
+  /// input_dim floats, `in_stride` floats apart; `out` receives n rows of
+  /// padded_dim floats, packed, with row i = P^T pad(in row i). The serving
+  /// engine rotates each worker's block of a batch through this.
   ///
   /// Contract: bit-identical to calling InverseRotate row by row. The
   /// engine's result-parity guarantee (batched search == sequential search)
   /// rests on this, so overrides must reuse the single-query accumulation
   /// kernel and may only restructure the loop nest for locality.
-  virtual void InverseRotateBatch(const Matrix& queries, Matrix* out) const {
-    out->Reset(queries.rows(), padded_dim_);
-    for (std::size_t i = 0; i < queries.rows(); ++i) {
-      InverseRotate(queries.Row(i), out->Row(i));
+  virtual void InverseRotateRows(const float* in, std::size_t in_stride,
+                                 std::size_t n, float* out) const {
+    for (std::size_t i = 0; i < n; ++i) {
+      InverseRotate(in + i * in_stride, out + i * padded_dim_);
     }
+  }
+
+  /// Whole-matrix form of InverseRotateRows: `queries` is n x input_dim,
+  /// `out` is reset to n x padded_dim.
+  void InverseRotateBatch(const Matrix& queries, Matrix* out) const {
+    out->Reset(queries.rows(), padded_dim_);
+    InverseRotateRows(queries.data(), queries.cols(), queries.rows(),
+                      out->data());
   }
 
  protected:

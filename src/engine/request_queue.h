@@ -1,13 +1,16 @@
-// Micro-batching submission queue: many producer threads Push search
-// requests; the engine's single scheduler thread PopBatch-es them. PopBatch
-// blocks until at least one request arrives, then lingers a bounded time for
-// the batch to fill toward max_batch -- trading a small, configurable latency
-// hit for the amortization wins of batch execution (one batched rotation, one
-// worker fan-out, one stats update per batch instead of per query).
+// Submission queue of the async serving path: many producer threads Push
+// search requests; the engine's scheduler thread PopBatch-es them whenever a
+// pool worker is free. A pop never waits for a batch to fill: it takes
+// whatever is queued at that moment, up to max_batch. Batches therefore form
+// only from requests that piled up while the workers were busy, so a lone
+// request is never held back, and a loaded engine still amortizes per-batch
+// costs (one rotation per worker block, one lock round and one stats update
+// per batch).
 //
-// The queue is the engine's admission-control point: a capacity bound makes
-// Push refuse work once the backlog hits it (bounded memory under overload),
-// and PopBatch sheds queries whose deadline already expired while queued.
+// The queue is the engine's admission-control point and holds the whole
+// backlog: a capacity bound makes Push refuse work once the backlog hits it
+// (bounded memory under overload), and PopBatch sheds queries whose
+// deadline already expired while queued.
 
 #ifndef RABITQ_ENGINE_REQUEST_QUEUE_H_
 #define RABITQ_ENGINE_REQUEST_QUEUE_H_
@@ -71,28 +74,21 @@ class RequestQueue {
   }
 
   /// Blocks until a request is available or the queue is closed, then moves
-  /// up to `max_batch` requests into `*out` (cleared first), waiting at most
-  /// `linger` after the first request for the batch to fill. When `shed` is
-  /// non-null, requests whose resolved deadline already expired while they
-  /// waited are moved there instead of into `*out` (they do not count
-  /// toward max_batch): under overload, queue time eats the whole budget
-  /// and executing such a query wastes a batch slot on a guaranteed
-  /// kDeadlineExceeded. Returns false only when the queue is closed AND
-  /// drained -- the scheduler's exit condition, which guarantees every
-  /// accepted request is answered (served or shed).
-  bool PopBatch(std::size_t max_batch, std::chrono::microseconds linger,
-                std::vector<QueuedQuery>* out,
+  /// up to `max_batch` of the requests queued at that moment into `*out`
+  /// (cleared first). When `shed` is non-null, requests whose resolved
+  /// deadline already expired while they waited are moved there instead of
+  /// into `*out` (they do not count toward max_batch): under overload,
+  /// queue time eats the whole budget and executing such a query wastes a
+  /// batch slot on a guaranteed kDeadlineExceeded. Returns false only when
+  /// the queue is closed AND drained -- the scheduler's exit condition,
+  /// which guarantees every accepted request is answered (served or shed).
+  bool PopBatch(std::size_t max_batch, std::vector<QueuedQuery>* out,
                 std::vector<QueuedQuery>* shed = nullptr) {
     out->clear();
     if (shed != nullptr) shed->clear();
     std::unique_lock<std::mutex> lock(mutex_);
     ready_.wait(lock, [this] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) return false;  // closed and drained
-    if (queue_.size() < max_batch && !closed_ && linger.count() > 0) {
-      ready_.wait_for(lock, linger, [this, max_batch] {
-        return closed_ || queue_.size() >= max_batch;
-      });
-    }
     const auto now = std::chrono::steady_clock::now();
     while (!queue_.empty() && out->size() < max_batch) {
       QueuedQuery& front = queue_.front();

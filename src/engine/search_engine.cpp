@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <shared_mutex>
 #include <utility>
 
 #include "linalg/vector_ops.h"
@@ -87,6 +89,11 @@ void SearchEngine::Drain() {
   queue_.Close();  // PopBatch drains what was accepted, then returns false
   if (scheduler_.joinable()) scheduler_.join();
   {
+    // The scheduler hands batches off without waiting for them.
+    std::unique_lock<std::mutex> lock(slots_mutex_);
+    slots_cv_.wait(lock, [this] { return chunks_in_flight_ == 0; });
+  }
+  {
     std::lock_guard<std::mutex> lock(compactor_mutex_);
     compactor_stop_ = true;
   }
@@ -99,7 +106,7 @@ std::size_t SearchEngine::size() const { return index_.size(); }
 std::size_t SearchEngine::live_size() const {
   std::size_t live = 0;
   for (std::size_t s = 0; s < index_.num_shards(); ++s) {
-    std::shared_lock<std::shared_mutex> lock(sync_[s]->index_mutex);
+    std::shared_lock<FairSharedMutex> lock(sync_[s]->index_mutex);
     live += index_.shard(s).live_size();
   }
   return live;
@@ -110,224 +117,335 @@ std::uint64_t SearchEngine::QuerySeed(std::uint64_t base,
   return MixSeed(base, ticket);
 }
 
-void SearchEngine::ExecuteBatch(
-    const float* const* queries, std::size_t n,
-    const IvfSearchParams* const* params, const std::uint64_t* seeds,
-    const std::chrono::steady_clock::time_point* submit_times,
-    Status* statuses, std::vector<Neighbor>* results, IvfSearchStats* stats,
-    ShardMergeInfo* infos) {
-  using Clock = std::chrono::steady_clock;
-  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  const Clock::time_point start = Clock::now();
-  const std::size_t S = index_.num_shards();
-  if (S == 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      statuses[i] = Status::FailedPrecondition("engine index not built");
-    }
-    return;
+struct SearchEngine::Batch {
+  std::size_t n = 0;
+  bool async = false;
+  // Inputs. sources[q] / params[q] point at the caller's request (sync) or
+  // at the queued copy in requests[q] (async); seeds are resolved.
+  std::vector<QueuedQuery> requests;          // async: queries + promises
+  std::vector<IvfSearchParams> owned_params;  // sync: deadline-resolved
+  std::vector<std::size_t> slots;             // sync: request index of q
+  std::vector<const float*> sources;
+  std::vector<const IvfSearchParams*> params;
+  std::vector<std::uint64_t> seeds;
+  std::chrono::steady_clock::time_point start;  // dispatch time
+
+  // Gathered query rows (unit-normalized under cosine) -- the vector every
+  // shard scan, exact re-rank and merge of the query scores against -- and
+  // each query's validation outcome.
+  Matrix queries;
+  std::vector<Status> query_status;
+
+  // (query x shard) cells, laid out q * num_shards + s; chunk c covers
+  // cells [c * cells_per_chunk, (c + 1) * cells_per_chunk).
+  std::size_t cells_per_chunk = 0;
+  std::vector<Status> cell_status;
+  std::vector<std::vector<Neighbor>> cell_results;
+  std::vector<IvfSearchStats> cell_stats;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> cells_left;  // per query
+  std::atomic<std::size_t> queries_left{0};
+
+  // Outputs. responses[q] is moved into the promise on the async path;
+  // stats/failed/latency_us keep what the batch-level record needs.
+  std::vector<SearchResponse> responses;
+  std::vector<IvfSearchStats> stats;
+  std::vector<std::uint8_t> failed;
+  std::vector<double> latency_us;
+
+  // Sampled traces: traces[q] is query q's trace or null. QueryTrace holds
+  // atomics, so the storage is a raw array grown to the largest batch.
+  std::unique_ptr<obs::QueryTrace[]> trace_storage;
+  std::vector<obs::QueryTrace*> traces;
+  std::uint64_t gather_ns = 0;  // per-query share of the gather
+  std::size_t capacity = 0;     // queries cells_left / trace_storage hold
+
+  // Sync completion: set by the worker that finishes the batch.
+  std::mutex done_mutex;
+  std::condition_variable done_cv;
+  bool done = false;
+
+  void Reserve(std::size_t queries_needed) {
+    if (queries_needed <= capacity) return;
+    cells_left = std::make_unique<std::atomic<std::uint32_t>[]>(queries_needed);
+    trace_storage = std::make_unique<obs::QueryTrace[]>(queries_needed);
+    capacity = queries_needed;
   }
+};
+
+SearchEngine::Batch* SearchEngine::AcquireBatch() {
+  std::lock_guard<std::mutex> lock(batches_mutex_);
+  if (free_batches_.empty()) {
+    batches_.push_back(std::make_unique<Batch>());
+    return batches_.back().get();
+  }
+  Batch* batch = free_batches_.back();
+  free_batches_.pop_back();
+  return batch;
+}
+
+void SearchEngine::ReleaseBatch(Batch* batch) {
+  batch->requests.clear();  // promises were moved out; drop the queries
+  std::lock_guard<std::mutex> lock(batches_mutex_);
+  free_batches_.push_back(batch);
+}
+
+void SearchEngine::Dispatch(Batch* batch) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t n = batch->n;
+  const std::size_t S = index_.num_shards();
+  batch->start = Clock::now();
+  batch->Reserve(n);
+  batch->query_status.assign(n, Status::Ok());
+  batch->responses.clear();
+  batch->responses.resize(n);
+  batch->stats.resize(n);
+  batch->failed.resize(n);
+  batch->latency_us.resize(n);
+  batch->queries_left.store(n);
 
   // Deterministic trace sampling, decided before any work: a pure function
   // of each query's resolved seed, so the traced subset does not depend on
-  // threads, shards or batch composition. batch_traces_[i] stays null for
+  // threads, shards or batch composition. traces[q] stays null for
   // untraced queries -- every downstream hook is then one branch, no clock.
-  batch_traces_.assign(n, nullptr);
+  batch->traces.assign(n, nullptr);
   bool any_traced = false;
   if (config_.trace_sample_period > 0) {
-    if (n > trace_capacity_) {
-      trace_storage_ = std::make_unique<obs::QueryTrace[]>(n);
-      trace_capacity_ = n;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (obs::SampleTrace(seeds[i], config_.trace_sample_period)) {
-        trace_storage_[i].Clear();
-        batch_traces_[i] = &trace_storage_[i];
+    for (std::size_t q = 0; q < n; ++q) {
+      if (obs::SampleTrace(batch->seeds[q], config_.trace_sample_period)) {
+        batch->trace_storage[q].Clear();
+        batch->traces[q] = &batch->trace_storage[q];
         any_traced = true;
       }
     }
   }
 
-  // The whole batch runs against one consistent snapshot: shared locks on
-  // every shard, so mutations run between batches (or overlap batches that
-  // have already finished with their shard -- never mid-read).
-  std::vector<std::shared_lock<std::shared_mutex>> read_locks;
-  read_locks.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    read_locks.emplace_back(sync_[s]->index_mutex);
-  }
-
-  // Gather and rotate every query with one matrix-matrix product -- the
-  // per-query gemv this replaces is the dominant shared-preprocessing cost.
-  Clock::time_point preprocess_start;
-  if (any_traced) preprocess_start = Clock::now();
-  const std::size_t d = index_.dim();
-  gather_buf_.Reset(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::copy_n(queries[i], d, gather_buf_.Row(i));
-  }
-  // Cosine normalizes where it rotates (the index contract for pre-rotated
-  // queries). A zero-norm query fails per-query, not per-batch: its gather
-  // row rotates to zeros harmlessly and its cells are skipped below.
-  std::vector<Status> query_status(n, Status::Ok());
-  if (metric_ == Metric::kCosine) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (NormalizeInPlace(gather_buf_.Row(i), d) == 0.0f) {
-        query_status[i] =
-            Status::InvalidArgument("zero-norm query under cosine metric");
-      }
+  // Gather. Cosine normalizes where it rotates (the index contract for
+  // pre-rotated queries). A zero-norm query fails per query, not per batch:
+  // its row rotates to zeros harmlessly and its cells skip the scan.
+  const Clock::time_point gather_start =
+      any_traced ? Clock::now() : Clock::time_point{};
+  batch->queries.Reset(n, dim_);
+  for (std::size_t q = 0; q < n; ++q) {
+    std::copy_n(batch->sources[q], dim_, batch->queries.Row(q));
+    if (metric_ == Metric::kCosine &&
+        NormalizeInPlace(batch->queries.Row(q), dim_) == 0.0f) {
+      batch->query_status[q] =
+          Status::InvalidArgument("zero-norm query under cosine metric");
     }
   }
-  index_.encoder().rotator().InverseRotateBatch(gather_buf_, &rotated_buf_);
-  if (any_traced) {
-    // The batched rotation is shared work; each sampled trace gets its
-    // per-query share (batch duration / batch size).
-    const std::uint64_t preprocess_ns =
+  batch->gather_ns =
+      any_traced ? static_cast<std::uint64_t>(
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           Clock::now() - gather_start)
+                           .count()) /
+                       n
+                 : 0;
+  // The whole batch runs against one consistent snapshot: a shared lock on
+  // every shard (ascending), dropped by the worker that finishes the
+  // batch's last query. Mutations wait for the batches holding their shard.
+  for (std::size_t s = 0; s < S; ++s) sync_[s]->index_mutex.lock_shared();
+
+  // Scatter: one contiguous chunk of (query x shard) cells per pool worker.
+  const std::size_t cells = n * S;
+  const std::size_t workers = std::min(pool_.num_threads(), cells);
+  batch->cells_per_chunk = (cells + workers - 1) / workers;
+  const std::size_t chunks =
+      (cells + batch->cells_per_chunk - 1) / batch->cells_per_chunk;
+  batch->cell_status.assign(cells, Status::Ok());
+  batch->cell_results.resize(cells);
+  batch->cell_stats.assign(cells, IvfSearchStats{});
+  for (std::size_t q = 0; q < n; ++q) {
+    batch->cells_left[q].store(static_cast<std::uint32_t>(S));
+  }
+  {
+    std::lock_guard<std::mutex> lock(slots_mutex_);
+    chunks_in_flight_ += chunks;
+  }
+  // From the first Submit on, the batch belongs to the workers: it may
+  // complete and be recycled before this loop ends.
+  for (std::size_t c = 0; c < chunks; ++c) {
+    pool_.Submit([this, batch, c] { RunChunk(batch, c); });
+  }
+}
+
+void SearchEngine::RunChunk(Batch* batch, std::size_t c) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t S = index_.num_shards();
+  const std::size_t begin = c * batch->cells_per_chunk;
+  const std::size_t end =
+      std::min(begin + batch->cells_per_chunk, batch->n * S);
+  WorkerScratch& worker = worker_scratch_[pool_.WorkerIndex()];
+
+  // Rotate the chunk's own block of query rows. A query whose cells span two
+  // chunks is rotated by both -- the same bits either way (the rotator's
+  // row-by-row contract) -- and its preprocess span is charged by the chunk
+  // holding its first cell.
+  const Rotator& rotator = index_.encoder().rotator();
+  const std::size_t padded = rotator.padded_dim();
+  const std::size_t q_begin = begin / S;
+  const std::size_t rows = (end - 1) / S + 1 - q_begin;
+  if (worker.rotated.size() < rows * padded) {
+    worker.rotated.resize(rows * padded);
+  }
+  bool traced = false;
+  for (std::size_t r = 0; r < rows; ++r) {
+    traced = traced || batch->traces[q_begin + r] != nullptr;
+  }
+  const Clock::time_point rotate_start =
+      traced ? Clock::now() : Clock::time_point{};
+  rotator.InverseRotateRows(batch->queries.Row(q_begin), batch->queries.cols(),
+                            rows, worker.rotated.data());
+  if (traced) {
+    const std::uint64_t rotate_ns =
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - preprocess_start)
+                Clock::now() - rotate_start)
                 .count()) /
-        n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch_traces_[i] != nullptr) {
-        batch_traces_[i]->AddNanos(obs::Stage::kPreprocess, preprocess_ns);
+        rows;
+    for (std::size_t q = q_begin; q < q_begin + rows; ++q) {
+      if (batch->traces[q] != nullptr && q * S >= begin) {
+        batch->traces[q]->AddNanos(obs::Stage::kPreprocess,
+                                   rotate_ns + batch->gather_ns);
       }
     }
   }
 
-  // Scatter: (query x shard) cells fanned out over the pool, one contiguous
-  // chunk per worker slot so chunk c exclusively owns worker_scratch_[c].
-  const std::size_t cells = n * S;
-  cell_status_.assign(cells, Status::Ok());
-  cell_results_.resize(cells);
-  cell_stats_.assign(cells, IvfSearchStats{});
-  const std::size_t chunks = std::min(pool_.num_threads(), cells);
-  const std::size_t per_chunk = (cells + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(begin + per_chunk, cells);
-    if (begin >= end) break;
-    futures.push_back(pool_.SubmitTask([&, c, begin, end] {
-      IvfSearchScratch& scratch = worker_scratch_[c].shard_scratch;
-      for (std::size_t cell = begin; cell < end; ++cell) {
-        const std::size_t q = cell / S;
-        const std::size_t s = cell % S;
-        // A sampled query's cells may run on several workers; its trace's
-        // relaxed atomic accumulators absorb the concurrent span adds.
-        if (!query_status[q].ok()) {
-          cell_status_[cell] = query_status[q];
-          continue;
-        }
-        scratch.trace = batch_traces_[q];
-        // The gather row (normalized under cosine, a plain copy otherwise)
-        // is the query the shards see -- exact re-ranks and the merge must
-        // score against the SAME vector the estimates were prepared from.
-        cell_status_[cell] = index_.SearchShard(
-            s, gather_buf_.Row(q), rotated_buf_.Row(q), *params[q], seeds[q],
-            &scratch, &cell_results_[cell], &cell_stats_[cell]);
+  IvfSearchScratch& scratch = worker.search.shard_scratch;
+  for (std::size_t cell = begin; cell < end; ++cell) {
+    const std::size_t q = cell / S;
+    if (batch->query_status[q].ok()) {
+      // A sampled query's cells may run on several workers; its trace's
+      // relaxed atomic accumulators absorb the concurrent span adds.
+      scratch.trace = batch->traces[q];
+      try {
+        batch->cell_status[cell] = index_.SearchShard(
+            cell % S, batch->queries.Row(q),
+            worker.rotated.data() + (q - q_begin) * padded, *batch->params[q],
+            batch->seeds[q], &scratch, &batch->cell_results[cell],
+            &batch->cell_stats[cell]);
+      } catch (const std::exception& e) {
+        // A pool task must not throw (and every cell must count down): the
+        // failure becomes this shard's, which the merge excludes.
+        batch->cell_status[cell] = Status::Internal(e.what());
       }
       scratch.trace = nullptr;
-    }));
-  }
-  // Drain EVERY chunk before surfacing a failure: packaged_task futures do
-  // not block on destruction, so rethrowing from the first get() would
-  // unwind (freeing the cell buffers and releasing batch_mutex_) while the
-  // remaining workers still write through those pointers.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+    }
+    // The batch may be finished and recycled inside FinishQuery -- only on
+    // the chunk's last cell, since every other cell of the batch is done.
+    if (batch->cells_left[q].fetch_sub(1) == 1) {
+      FinishQuery(batch, q, &worker.search);
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
 
-  // Gather: per-query merge of the S shard cells into global results.
-  futures.clear();
-  const std::size_t merge_chunks = std::min(pool_.num_threads(), n);
-  const std::size_t per_merge = (n + merge_chunks - 1) / merge_chunks;
-  for (std::size_t c = 0; c < merge_chunks; ++c) {
-    const std::size_t begin = c * per_merge;
-    const std::size_t end = std::min(begin + per_merge, n);
-    if (begin >= end) break;
-    futures.push_back(pool_.SubmitTask([&, c, begin, end] {
-      for (std::size_t q = begin; q < end; ++q) {
-        // A query that failed validation before the scatter (zero-norm
-        // under cosine) never ran any cell; everything else merges with the
-        // per-shard statuses so a failed or out-of-time shard degrades the
-        // query instead of failing it (see ShardedIndex::MergeShardResults).
-        if (!query_status[q].ok()) {
-          statuses[q] = query_status[q];
-          continue;
-        }
-        obs::ScopedSpan merge_span(batch_traces_[q], obs::Stage::kMerge);
-        statuses[q] = index_.MergeShardResults(
-            gather_buf_.Row(q), *params[q], &cell_results_[q * S],
-            &cell_stats_[q * S], &worker_scratch_[c], &results[q], &stats[q],
-            &cell_status_[q * S], &infos[q]);
-      }
-    }));
-  }
-  for (auto& f : futures) {
+  // Notified under the lock: Drain may destroy the engine as soon as it
+  // observes zero.
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  --chunks_in_flight_;
+  slots_cv_.notify_all();
+}
+
+void SearchEngine::FinishQuery(Batch* batch, std::size_t q,
+                               ShardedSearchScratch* scratch) {
+  const std::size_t S = index_.num_shards();
+  SearchResponse& response = batch->responses[q];
+  if (!batch->query_status[q].ok()) {
+    // Failed validation before the scatter (zero-norm under cosine): no
+    // cell ran, nothing to merge.
+    response.status = batch->query_status[q];
+  } else {
+    // Everything else merges with the per-shard statuses, so a failed or
+    // out-of-time shard degrades the query instead of failing it (see
+    // ShardedIndex::MergeShardResults).
+    obs::ScopedSpan merge_span(batch->traces[q], obs::Stage::kMerge);
+    ShardMergeInfo info;
     try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      response.status = index_.MergeShardResults(
+          batch->queries.Row(q), *batch->params[q],
+          &batch->cell_results[q * S], &batch->cell_stats[q * S], scratch,
+          &response.neighbors, &response.stats, &batch->cell_status[q * S],
+          &info);
+    } catch (const std::exception& e) {
+      response.status = Status::Internal(e.what());
+      response.neighbors.clear();
     }
+    response.partial = info.partial;
+    response.shards_ok = info.shards_ok;
+    response.shards_failed = info.shards_failed;
   }
-  if (first_error) std::rethrow_exception(first_error);
-  for (auto& lock : read_locks) lock.unlock();
+  // Async latency runs from submission (queueing included); sync latency
+  // from the batch's dispatch.
+  const auto since = batch->async ? batch->requests[q].submit_time
+                                  : batch->start;
+  batch->latency_us[q] = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - since)
+                             .count();
+  batch->stats[q] = response.stats;
+  batch->failed[q] = response.status.ok() ? 0 : 1;
+  if (response.status.code() == StatusCode::kDeadlineExceeded) {
+    stats_.RecordDeadlineExceeded();
+  }
+  if (response.partial) stats_.RecordPartialResponse();
+  if (response.shards_failed > 0) {
+    stats_.RecordShardFailures(response.shards_failed);
+  }
 
-  const Clock::time_point end = Clock::now();
-  const double batch_us =
-      std::chrono::duration<double, std::micro>(end - start).count();
-  std::vector<double> latencies(n);
+  // Take what this call still needs out of the batch BEFORE the countdown:
+  // once another worker finishes the last query, the batch is recycled.
+  const bool async = batch->async;
+  std::promise<SearchResponse> promise;
+  SearchResponse reply;
+  if (async) {
+    promise = std::move(batch->requests[q].promise);
+    reply = std::move(response);
+  }
+  const bool last = batch->queries_left.fetch_sub(1) == 1;
+  // The batch's stats are recorded before its last promise resolves, so a
+  // caller holding every future of a batch also sees it in Stats().
+  if (last) FinishBatch(batch);
+  if (async) promise.set_value(std::move(reply));
+  if (!last) return;
+  if (async) {
+    ReleaseBatch(batch);
+  } else {
+    // Notified under the lock: the waiting SearchBatch recycles the batch
+    // as soon as it observes `done`.
+    std::lock_guard<std::mutex> lock(batch->done_mutex);
+    batch->done = true;
+    batch->done_cv.notify_one();
+  }
+}
+
+void SearchEngine::FinishBatch(Batch* batch) {
+  for (const auto& sync : sync_) sync->index_mutex.unlock_shared();
+  const std::size_t n = batch->n;
   std::size_t errors = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    latencies[i] =
-        submit_times != nullptr
-            ? std::chrono::duration<double, std::micro>(end - submit_times[i])
-                  .count()
-            : batch_us;
-    if (!statuses[i].ok()) ++errors;
-    if (statuses[i].code() == StatusCode::kDeadlineExceeded) {
-      stats_.RecordDeadlineExceeded();
-    }
-    if (infos[i].partial) stats_.RecordPartialResponse();
-    if (infos[i].shards_failed > 0) {
-      stats_.RecordShardFailures(infos[i].shards_failed);
-    }
-  }
-  stats_.RecordBatch(n, latencies.data(), SumStats(stats, n), errors);
+  for (std::size_t q = 0; q < n; ++q) errors += batch->failed[q];
+  stats_.RecordBatch(n, batch->latency_us.data(),
+                     SumStats(batch->stats.data(), n), errors);
 
   // Fold the sampled traces into the per-stage histograms and hand them to
-  // the optional sink. Queue wait (submit -> batch start) only exists on
-  // the async path; the sync path records no kQueueWait samples.
-  if (any_traced) {
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::QueryTrace* const trace = batch_traces_[i];
-      if (trace == nullptr) continue;
-      if (submit_times != nullptr) {
-        const std::int64_t wait_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                start - submit_times[i])
-                .count();
-        if (wait_ns > 0) {
-          trace->AddNanos(obs::Stage::kQueueWait,
-                          static_cast<std::uint64_t>(wait_ns));
-        }
+  // the optional sink, with the shard locks already released. Queue wait
+  // (submit -> dispatch) only exists on the async path; the sync path
+  // records no kQueueWait samples.
+  for (std::size_t q = 0; q < n; ++q) {
+    obs::QueryTrace* const trace = batch->traces[q];
+    if (trace == nullptr) continue;
+    if (batch->async) {
+      const std::int64_t wait_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              batch->start - batch->requests[q].submit_time)
+              .count();
+      if (wait_ns > 0) {
+        trace->AddNanos(obs::Stage::kQueueWait,
+                        static_cast<std::uint64_t>(wait_ns));
       }
-      for (int s = 0; s < obs::kNumStages; ++s) {
-        const std::uint64_t ns = trace->Nanos(static_cast<obs::Stage>(s));
-        if (ns > 0) {
-          stage_hist_[s]->Record(static_cast<double>(ns) * 1e-3);
-        }
-      }
-      traced_queries_->Increment();
-      if (config_.trace_sink) config_.trace_sink(seeds[i], *trace);
     }
+    for (int s = 0; s < obs::kNumStages; ++s) {
+      const std::uint64_t ns = trace->Nanos(static_cast<obs::Stage>(s));
+      if (ns > 0) stage_hist_[s]->Record(static_cast<double>(ns) * 1e-3);
+    }
+    traced_queries_->Increment();
+    if (config_.trace_sink) config_.trace_sink(batch->seeds[q], *trace);
   }
 }
 
@@ -342,62 +460,58 @@ Status SearchEngine::SearchBatch(const SearchRequest* requests,
   if (requests == nullptr) {
     return Status::InvalidArgument("null requests");
   }
+  Batch* batch = AcquireBatch();
+  batch->async = false;
+  batch->done = false;
+  batch->slots.clear();
+  batch->sources.clear();
+  batch->owned_params.clear();
+  batch->seeds.clear();
   // Per-response error contract: a null-query request fails through its own
   // response.status while the valid requests still execute (compacted into
-  // a dense sub-batch, then scattered back).
-  std::vector<std::size_t> live;
-  live.reserve(num_requests);
+  // a dense sub-batch, then scattered back). Relative timeouts resolve
+  // against ONE admission timestamp for the whole batch -- read lazily, so
+  // deadline-free batches never touch the clock here (part of the
+  // bit-determinism contract).
+  std::chrono::steady_clock::time_point now{};
+  bool now_read = false;
   for (std::size_t i = 0; i < num_requests; ++i) {
-    if (requests[i].query == nullptr) {
+    const SearchRequest& request = requests[i];
+    if (request.query == nullptr) {
       (*responses)[i].status = Status::InvalidArgument("null query in request");
-    } else {
-      live.push_back(i);
+      continue;
     }
+    batch->slots.push_back(i);
+    batch->sources.push_back(request.query);
+    batch->owned_params.push_back(request.options);
+    if (request.options.timeout_us != 0 && !now_read) {
+      now = std::chrono::steady_clock::now();
+      now_read = true;
+    }
+    batch->owned_params.back().ResolveDeadline(now);
+    // Auto-seed by the request's BATCH POSITION (not its compacted slot)
+    // so a request's derived seed is independent of its neighbors'
+    // validity.
+    batch->seeds.push_back(
+        request.options.seed.value_or(QuerySeed(config_.seed, i)));
   }
-  const std::size_t n = live.size();
+  const std::size_t n = batch->slots.size();
   if (n > 0) {
-    std::vector<const float*> query_ptrs(n);
-    std::vector<IvfSearchParams> owned_params(n);
-    std::vector<const IvfSearchParams*> param_ptrs(n);
-    std::vector<std::uint64_t> seeds(n);
-    std::vector<Status> statuses(n);
-    std::vector<std::vector<Neighbor>> results(n);
-    std::vector<IvfSearchStats> stats(n);
-    std::vector<ShardMergeInfo> infos(n);
-    // Relative timeouts resolve against ONE admission timestamp for the
-    // whole batch -- read lazily, so deadline-free batches never touch the
-    // clock here (part of the bit-determinism contract).
-    std::chrono::steady_clock::time_point now{};
-    bool now_read = false;
+    batch->params.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      const SearchRequest& request = requests[live[j]];
-      query_ptrs[j] = request.query;
-      owned_params[j] = request.options;
-      if (owned_params[j].timeout_us != 0 && !now_read) {
-        now = std::chrono::steady_clock::now();
-        now_read = true;
-      }
-      owned_params[j].ResolveDeadline(now);
-      param_ptrs[j] = &owned_params[j];
-      // Auto-seed by the request's BATCH POSITION (not its compacted slot)
-      // so a request's derived seed is independent of its neighbors'
-      // validity.
-      seeds[j] =
-          request.options.seed.value_or(QuerySeed(config_.seed, live[j]));
+      batch->params[j] = &batch->owned_params[j];
     }
-    ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                 /*submit_times=*/nullptr, statuses.data(), results.data(),
-                 stats.data(), infos.data());
+    batch->n = n;
+    Dispatch(batch);
+    {
+      std::unique_lock<std::mutex> lock(batch->done_mutex);
+      batch->done_cv.wait(lock, [batch] { return batch->done; });
+    }
     for (std::size_t j = 0; j < n; ++j) {
-      SearchResponse& response = (*responses)[live[j]];
-      response.status = std::move(statuses[j]);
-      response.neighbors = std::move(results[j]);
-      response.stats = stats[j];
-      response.partial = infos[j].partial;
-      response.shards_ok = infos[j].shards_ok;
-      response.shards_failed = infos[j].shards_failed;
+      (*responses)[batch->slots[j]] = std::move(batch->responses[j]);
     }
   }
+  ReleaseBatch(batch);
   for (const SearchResponse& response : *responses) {
     if (!response.status.ok()) return response.status;
   }
@@ -477,7 +591,7 @@ Status SearchEngine::Insert(const float* vec, std::uint32_t* id_out) {
   Status status;
   {
     std::lock_guard<std::mutex> writer(sync_[shard]->writer_mutex);
-    std::unique_lock<std::shared_mutex> write_lock(sync_[shard]->index_mutex);
+    std::unique_lock<FairSharedMutex> write_lock(sync_[shard]->index_mutex);
     status = index_.CompleteAdd(id, shard, vec);
   }
   if (status.ok()) {
@@ -510,7 +624,7 @@ Status SearchEngine::Delete(std::uint32_t id) {
   {
     std::lock_guard<std::mutex> writer(sync_[shard]->writer_mutex);
     {
-      std::unique_lock<std::shared_mutex> write_lock(sync_[shard]->index_mutex);
+      std::unique_lock<FairSharedMutex> write_lock(sync_[shard]->index_mutex);
       status = index_.Delete(id);
     }
     if (status.ok()) {
@@ -538,7 +652,7 @@ Status SearchEngine::Update(std::uint32_t id, const float* vec) {
     const std::uint32_t old_list =
         live ? index_.shard(shard).list_of(index_.local_of(id)) : 0;
     {
-      std::unique_lock<std::shared_mutex> write_lock(sync_[shard]->index_mutex);
+      std::unique_lock<FairSharedMutex> write_lock(sync_[shard]->index_mutex);
       status = index_.Update(id, vec);
     }
     if (status.ok()) {
@@ -580,11 +694,11 @@ Status SearchEngine::RunCompactions(float min_ratio, std::size_t min_dead) {
       IvfCompactionPlan plan;
       Status s;
       {
-        std::shared_lock<std::shared_mutex> read_lock(sync_[shard]->index_mutex);
+        std::shared_lock<FairSharedMutex> read_lock(sync_[shard]->index_mutex);
         s = target->PlanListCompaction(l, &plan);
       }
       if (s.ok()) {
-        std::unique_lock<std::shared_mutex> write_lock(sync_[shard]->index_mutex);
+        std::unique_lock<FairSharedMutex> write_lock(sync_[shard]->index_mutex);
         s = target->CommitListCompaction(std::move(plan));
       }
       if (s.ok()) {
@@ -635,7 +749,7 @@ EngineStatsSnapshot SearchEngine::Stats() const {
   snap.epoch = epoch();
   snap.num_shards = index_.num_shards();
   for (std::size_t s = 0; s < index_.num_shards(); ++s) {
-    std::shared_lock<std::shared_mutex> lock(sync_[s]->index_mutex);
+    std::shared_lock<FairSharedMutex> lock(sync_[s]->index_mutex);
     snap.live_vectors += index_.shard(s).live_size();
     snap.tombstones += index_.shard(s).num_tombstones();
   }
@@ -657,29 +771,31 @@ obs::MetricsSnapshot SearchEngine::SnapshotMetrics() const {
 }
 
 Status SearchEngine::SaveSnapshot(const std::string& path) const {
-  // Shared locks on every shard (ascending, matching ExecuteBatch's order):
-  // the saved cut is consistent across shards, searches keep flowing, and
-  // writers/compaction commits queue behind the write.
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
+  // Every shard's writer mutex (ascending): each mutation and compaction
+  // holds its shard's writer mutex for its whole span, so the saved cut is
+  // consistent across shards. Not the shared index locks: a writer queued
+  // behind a long save would then hold every new search batch back on the
+  // phase-fair lock for the rest of the save.
+  std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(sync_.size());
-  for (const auto& sync : sync_) locks.emplace_back(sync->index_mutex);
+  for (const auto& sync : sync_) locks.emplace_back(sync->writer_mutex);
   return index_.Save(path);
 }
 
 void SearchEngine::SchedulerLoop() {
-  std::vector<QueuedQuery> batch;
+  std::vector<QueuedQuery> popped;
   std::vector<QueuedQuery> shed;
-  std::vector<const float*> query_ptrs;
-  std::vector<const IvfSearchParams*> param_ptrs;
-  std::vector<std::uint64_t> seeds;
-  std::vector<std::chrono::steady_clock::time_point> submit_times;
-  std::vector<Status> statuses;
-  std::vector<std::vector<Neighbor>> results;
-  std::vector<IvfSearchStats> stats;
-  std::vector<ShardMergeInfo> infos;
-  while (queue_.PopBatch(config_.max_batch,
-                         std::chrono::microseconds(config_.batch_linger_us),
-                         &batch, &shed)) {
+  for (;;) {
+    // Work-conserving: pop as soon as a worker is free, taking whatever is
+    // queued at that moment. While every worker is busy the backlog stays
+    // in the bounded queue, where admission and deadline shedding see it.
+    {
+      std::unique_lock<std::mutex> lock(slots_mutex_);
+      slots_cv_.wait(lock, [this] {
+        return chunks_in_flight_ < pool_.num_threads();
+      });
+    }
+    if (!queue_.PopBatch(config_.max_batch, &popped, &shed)) return;
     // Shed queries fail without executing: their deadline expired while
     // they waited, so the kindest answer is an immediate one.
     for (QueuedQuery& dropped : shed) {
@@ -690,35 +806,21 @@ void SearchEngine::SchedulerLoop() {
       response.partial = true;
       dropped.promise.set_value(std::move(response));
     }
-    const std::size_t n = batch.size();
-    if (n == 0) continue;  // everything popped this round was shed
-    query_ptrs.resize(n);
-    param_ptrs.resize(n);
-    seeds.resize(n);
-    submit_times.resize(n);
-    statuses.assign(n, Status::Ok());
-    results.assign(n, {});
-    stats.assign(n, IvfSearchStats{});
-    infos.assign(n, ShardMergeInfo{});
-    for (std::size_t i = 0; i < n; ++i) {
-      query_ptrs[i] = batch[i].query.data();
-      param_ptrs[i] = &batch[i].options;
-      seeds[i] = batch[i].seed;
-      submit_times[i] = batch[i].submit_time;
+    if (popped.empty()) continue;  // everything popped this round was shed
+    Batch* batch = AcquireBatch();
+    batch->async = true;
+    batch->requests.swap(popped);
+    const std::size_t n = batch->requests.size();
+    batch->sources.resize(n);
+    batch->params.resize(n);
+    batch->seeds.resize(n);
+    for (std::size_t q = 0; q < n; ++q) {
+      batch->sources[q] = batch->requests[q].query.data();
+      batch->params[q] = &batch->requests[q].options;
+      batch->seeds[q] = batch->requests[q].seed;
     }
-    ExecuteBatch(query_ptrs.data(), n, param_ptrs.data(), seeds.data(),
-                 submit_times.data(), statuses.data(), results.data(),
-                 stats.data(), infos.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      SearchResponse response;
-      response.status = std::move(statuses[i]);
-      response.neighbors = std::move(results[i]);
-      response.stats = stats[i];
-      response.partial = infos[i].partial;
-      response.shards_ok = infos[i].shards_ok;
-      response.shards_failed = infos[i].shards_failed;
-      batch[i].promise.set_value(std::move(response));
-    }
+    batch->n = n;
+    Dispatch(batch);
   }
 }
 

@@ -4,23 +4,33 @@
 // bench/examples.
 //
 // What it does:
-//   * Batched execution (SearchBatch): rotates a whole batch of queries with
-//     ONE matrix-matrix product (Rotator::InverseRotateBatch) instead of one
-//     gemv per query, then scatters the (query x shard) work cells across a
-//     private ThreadPool and gathers per-query global results with a merge
-//     pass. Each worker owns its scratch, so the hot path stops allocating
-//     once the buffers reach steady state.
-//   * Micro-batching (SubmitAsync): producers enqueue single queries and get
-//     futures; a scheduler thread gathers the queue into batches (up to
-//     max_batch, lingering batch_linger_us) and runs them through the same
-//     batched path, amortizing the per-batch costs across concurrent callers.
+//   * Batched execution: a batch's (query x shard) work cells are split into
+//     one contiguous chunk per pool worker. Each chunk rotates its own block
+//     of query rows (Rotator::InverseRotateRows, a tiled matrix-matrix
+//     product instead of one gemv per query) and scans its cells with the
+//     running worker's scratch, so the hot path stops allocating once the
+//     buffers reach steady state. The worker that finishes a query's last
+//     cell merges that query's shard results and completes it; there is no
+//     batch-wide join.
+//   * Overlapping batches: several batches may be in flight on the pool at
+//     once. Per-batch state lives in a context reused from a small free
+//     list, so concurrent SearchBatch callers and async batches never wait
+//     for each other's batch to end.
+//   * Work-conserving async serving (SubmitAsync): producers enqueue single
+//     queries and get futures. A scheduler thread waits until a pool worker
+//     is free, takes whatever is queued at that moment (up to max_batch),
+//     hands the batch to the pool and goes straight back to the queue. A
+//     lone query is never held back waiting for company; under load,
+//     batches form from requests that piled up while the workers were busy.
+//     The backlog stays in the bounded RequestQueue, never in the pool.
 //   * Read/write coordination, PER SHARD: every batch executes against a
 //     consistent snapshot (shared lock on every shard for the batch's
 //     duration); Insert/Delete/Update lock only the ONE shard their id
 //     hashes to -- exclusively for the index mutation, plus that shard's
 //     writer mutex for the logical span. Mutations to different shards no
-//     longer contend, which is the write-scaling point of sharding; the
-//     engine-wide single writer mutex of the unsharded engine is gone.
+//     longer contend, which is the write-scaling point of sharding. The
+//     shard lock is phase-fair (FairSharedMutex), so overlapping batches
+//     cannot starve a writer.
 //   * Background compaction: when a mutation pushes a list's tombstone
 //     ratio past EngineConfig::compaction_tombstone_ratio, a maintenance
 //     thread rebuilds that (shard, list). The rebuild (plan) runs under the
@@ -44,7 +54,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -54,6 +63,8 @@
 #include "index/sharded.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/aligned_buffer.h"
+#include "util/shared_mutex.h"
 #include "util/thread_pool.h"
 
 namespace rabitq {
@@ -61,11 +72,9 @@ namespace rabitq {
 struct EngineConfig {
   /// Worker threads for batch execution; 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Async scheduler: largest batch gathered from the submission queue.
+  /// Async scheduler: largest batch taken from the submission queue in one
+  /// pop (a pop never waits for a batch to fill).
   std::size_t max_batch = 32;
-  /// Async scheduler: how long the first request of a batch may wait for
-  /// company, in microseconds. 0 disables lingering (greedy batches).
-  std::size_t batch_linger_us = 200;
   /// Bounded admission: SubmitAsync fails fast with kResourceExhausted once
   /// this many requests are queued, so a flood of producers cannot grow the
   /// backlog (and its memory) without limit. 0 means unbounded -- the
@@ -90,11 +99,12 @@ struct EngineConfig {
   /// 1 traces every query. Untraced queries pay one seed mix and a few
   /// null checks -- no clock reads.
   std::uint32_t trace_sample_period = 64;
-  /// Optional per-query trace dump: invoked synchronously after each batch
-  /// for every SAMPLED query with (resolved query seed, completed trace).
-  /// Runs on the batch-executing thread with no engine locks held, but
-  /// stalls serving while it runs -- keep it cheap, and make it thread-safe
-  /// if batches come from several threads.
+  /// Optional per-query trace dump: invoked once a batch's last query has
+  /// finished, for every SAMPLED query of that batch, with (resolved query
+  /// seed, completed trace). Always called from several threads at once --
+  /// the pool workers that finish overlapping batches -- so it must be
+  /// thread-safe. Runs with no engine locks held, but occupies a serving
+  /// worker while it runs: keep it cheap.
   std::function<void(std::uint64_t, const obs::QueryTrace&)> trace_sink;
 };
 
@@ -146,9 +156,11 @@ class SearchEngine {
   /// through the sequential reference.
   static std::uint64_t QuerySeed(std::uint64_t base, std::uint64_t ticket);
 
-  /// Synchronous batched search -- the request-based core every other entry
-  /// point (single-query Search, SubmitAsync, the deprecated raw-pointer
-  /// shims) funnels into. responses->at(i) receives query i's outcome
+  /// Synchronous batched search. Runs the same batch path as SubmitAsync's
+  /// scheduler and blocks until its own batch completes; concurrent callers
+  /// (and async batches) overlap on the pool instead of queueing behind
+  /// each other. Single-query Search and the deprecated raw-pointer shims
+  /// funnel into it. responses->at(i) receives query i's outcome
   /// (GLOBAL ids); a failed query reports through its own response.status
   /// while the rest of the batch still executes, and the first per-query
   /// error is also returned. Each request's options.seed is used verbatim
@@ -160,8 +172,8 @@ class SearchEngine {
   /// Synchronous single query: a batch of one.
   SearchResponse Search(const SearchRequest& request);
 
-  /// Enqueues one query for the micro-batching scheduler and returns a
-  /// future fulfilled when its batch executes. The vector is copied; the
+  /// Enqueues one query for the async scheduler and returns a future
+  /// fulfilled as soon as the query completes. The vector is copied; the
   /// options (including the filter VIEW -- keep its bitmap/context alive
   /// until the future resolves) ride along. options.seed unset draws the
   /// next ticket from the engine's auto-seed stream; set, it is used
@@ -173,9 +185,14 @@ class SearchEngine {
   /// with kDeadlineExceeded.
   std::future<SearchResponse> SubmitAsync(const SearchRequest& request);
 
+  /// Requests admitted by SubmitAsync and still waiting for a free worker
+  /// (racy snapshot).
+  std::size_t queue_depth() const { return queue_.size(); }
+
   /// Graceful shutdown: closes admission (subsequent SubmitAsync resolves
   /// with kFailedPrecondition), serves or sheds every already-accepted
-  /// request, joins the scheduler, and stops the background compactor.
+  /// request, joins the scheduler, waits for every batch in flight, and
+  /// stops the background compactor.
   /// Idempotent; the destructor calls it. Synchronous entry points
   /// (SearchBatch / Search) keep working after a drain.
   void Drain();
@@ -243,9 +260,9 @@ class SearchEngine {
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
   /// Writes a snapshot of the owned index to `path` (ShardedIndex::Save:
-  /// crash-safe, two-phase, manifest-last). Every shard lock is taken
-  /// SHARED for the write, so the snapshot is a consistent cut: queries
-  /// keep flowing, mutations and compaction commits wait.
+  /// crash-safe, two-phase, manifest-last). Every shard's writer mutex is
+  /// held for the write, so the snapshot is a consistent cut: mutations and
+  /// compactions wait, queries keep flowing (even past a waiting writer).
   Status SaveSnapshot(const std::string& path) const;
 
  private:
@@ -257,25 +274,41 @@ class SearchEngine {
   /// shards run fully in parallel. Lock order: writer_mutex before
   /// index_mutex; shard locks in ascending shard order.
   struct ShardSync {
-    mutable std::shared_mutex index_mutex;
-    std::mutex writer_mutex;
+    mutable FairSharedMutex index_mutex;
+    mutable std::mutex writer_mutex;  // SaveSnapshot (const) takes it too
   };
 
-  /// Executes `n` gathered queries: one shared lock per shard, one batched
-  /// rotation, then a (query x shard) scatter across the pool followed by a
-  /// per-query merge pass. Exactly one batch runs at a time (batch_mutex_):
-  /// per-worker scratch and the cell buffers are reused across batches.
-  /// `statuses`, `results`, `stats` are arrays of length n. `submit_times`
-  /// non-null switches the recorded per-query latency from batch execution
-  /// time to submit-to-completion time (the async path, queueing included).
-  /// `infos` (length n) receives each query's scatter-gather degradation
-  /// tallies (shards_ok / shards_failed / partial).
-  void ExecuteBatch(const float* const* queries, std::size_t n,
-                    const IvfSearchParams* const* params,
-                    const std::uint64_t* seeds,
-                    const std::chrono::steady_clock::time_point* submit_times,
-                    Status* statuses, std::vector<Neighbor>* results,
-                    IvfSearchStats* stats, ShardMergeInfo* infos);
+  /// Per-call state of one batch in flight: its queries and options, the
+  /// (query x shard) cell buffers, per-query countdowns, outputs and traces.
+  /// Reused from a free list (defined in the .cpp).
+  struct Batch;
+
+  /// Per-pool-worker workspace, indexed by ThreadPool::WorkerIndex(): the
+  /// cell scan and merge scratch, plus the rotated rows of the chunk the
+  /// worker is running.
+  struct WorkerScratch {
+    ShardedSearchScratch search;
+    AlignedVector<float> rotated;
+  };
+
+  /// A batch context from the free list (or a new one); Release returns it.
+  Batch* AcquireBatch();
+  void ReleaseBatch(Batch* batch);
+
+  /// Starts `batch` (its n, sources, params and seeds filled in): gathers
+  /// and validates the queries, takes a shared lock on every shard, and
+  /// hands one chunk of contiguous (query x shard) cells per pool worker to
+  /// the pool. Returns without waiting; the batch completes on the workers
+  /// (async: each promise is fulfilled; sync: SearchBatch's wait returns).
+  void Dispatch(Batch* batch);
+  /// Pool task: rotates chunk `c`'s query rows, scans its cells, and merges
+  /// every query whose last cell it ran.
+  void RunChunk(Batch* batch, std::size_t c);
+  /// Merges query q's shard cells and completes it; the call that completes
+  /// the batch's last query also ends the batch (unlocks the shards,
+  /// records stats and traces, wakes or recycles the batch).
+  void FinishQuery(Batch* batch, std::size_t q, ShardedSearchScratch* scratch);
+  void FinishBatch(Batch* batch);
 
   void SchedulerLoop();
   void CompactorLoop();
@@ -298,21 +331,22 @@ class SearchEngine {
   std::vector<std::unique_ptr<ShardSync>> sync_;  // one per shard
   std::atomic<std::uint64_t> epoch_{0};
 
-  // One batch in flight at a time; guards the scratch below.
-  std::mutex batch_mutex_;
-  Matrix gather_buf_;   // batch x dim, for async requests
-  Matrix rotated_buf_;  // batch x total_bits, the batched rotation
-  std::vector<ShardedSearchScratch> worker_scratch_;  // one per pool thread
-  // (query x shard) cell buffers, laid out q * num_shards + s.
-  std::vector<Status> cell_status_;
-  std::vector<std::vector<Neighbor>> cell_results_;
-  std::vector<IvfSearchStats> cell_stats_;
+  std::vector<WorkerScratch> worker_scratch_;  // one per pool worker
+
+  // Batch contexts: every one ever created (owned), and the idle ones.
+  std::mutex batches_mutex_;
+  std::vector<std::unique_ptr<Batch>> batches_;
+  std::vector<Batch*> free_batches_;
+
+  // Dispatch slots: chunks handed to the pool and not yet finished. The
+  // scheduler pops the queue only while this is below the worker count;
+  // Drain waits for it to reach zero.
+  std::mutex slots_mutex_;
+  std::condition_variable slots_cv_;
+  std::size_t chunks_in_flight_ = 0;
 
   // Observability. metrics_ is declared before stats_ (the collector
-  // resolves its metrics out of it at construction). Traced queries write
-  // into trace_storage_ slots (QueryTrace holds atomics, so the storage is
-  // a raw array grown to the largest batch, guarded by batch_mutex_);
-  // batch_traces_[q] is the sampled query q's trace or null.
+  // resolves its metrics out of it at construction).
   obs::MetricsRegistry metrics_;
   obs::Histogram* stage_hist_[obs::kNumStages];
   obs::Histogram* compaction_pass_seconds_;
@@ -325,9 +359,6 @@ class SearchEngine {
   obs::Gauge* gauge_violation_rate_;
   obs::Gauge* gauge_signed_err_mean_;
   obs::Gauge* gauge_tightness_mean_;
-  std::unique_ptr<obs::QueryTrace[]> trace_storage_;
-  std::size_t trace_capacity_ = 0;
-  std::vector<obs::QueryTrace*> batch_traces_;
 
   EngineStatsCollector stats_;
 

@@ -296,7 +296,7 @@ Status ShardedIndex::SearchWithScratch(const float* query,
   }
   // The per-shard scans above recorded their own spans through
   // shard_scratch.trace (when the caller set one); the gather is the merge
-  // stage. The engine's scatter path times its merge chunks the same way.
+  // stage. The engine times each query's merge the same way.
   obs::ScopedSpan merge_span(scratch->shard_scratch.trace, obs::Stage::kMerge);
   return MergeShardResults(query, params, scratch->shard_results.data(),
                            scratch->shard_stats.data(), scratch, out, stats,

@@ -4,13 +4,19 @@
 
 namespace rabitq {
 
+namespace {
+// Set once at worker start: the owning pool and the worker's index in it.
+thread_local const ThreadPool* tls_pool = nullptr;
+thread_local std::size_t tls_worker = ThreadPool::kNotAWorker;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -55,7 +61,13 @@ void ThreadPool::ParallelFor(
   Wait();
 }
 
-void ThreadPool::WorkerLoop() {
+std::size_t ThreadPool::WorkerIndex() const {
+  return tls_pool == this ? tls_worker : kNotAWorker;
+}
+
+void ThreadPool::WorkerLoop(std::size_t index) {
+  tls_pool = this;
+  tls_worker = index;
   for (;;) {
     std::function<void()> task;
     {

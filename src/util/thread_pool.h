@@ -1,7 +1,7 @@
 // Small fixed-size thread pool with a blocking ParallelFor (used by the index
 // phase: kmeans assignment, encoding, ground-truth computation) and a
-// future-returning SubmitTask (used by the query-serving engine to fan batch
-// work out with exception propagation).
+// fire-and-forget Submit plus WorkerIndex (used by the query-serving engine,
+// whose tasks complete their own work and index per-worker scratch).
 
 #ifndef RABITQ_UTIL_THREAD_POOL_H_
 #define RABITQ_UTIL_THREAD_POOL_H_
@@ -9,12 +9,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace rabitq {
@@ -31,23 +28,18 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a task for asynchronous execution. The task must not throw:
-  /// an escaping exception terminates the worker (use SubmitTask when the
-  /// task can fail).
-  void Submit(std::function<void()> task);
+  /// Returned by WorkerIndex() on a thread that is not one of this pool's
+  /// workers.
+  static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
 
-  /// Enqueues `fn` and returns a future for its result. An exception thrown
-  /// by the task is captured and rethrown from future::get(), so callers can
-  /// join a fan-out and surface the first failure.
-  template <typename F>
-  auto SubmitTask(F fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    // shared_ptr because std::function requires copyable callables.
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> result = task->get_future();
-    Submit([task] { (*task)(); });
-    return result;
-  }
+  /// Index in [0, num_threads()) of the calling thread within this pool, or
+  /// kNotAWorker. Lets a task pick per-worker scratch: a worker runs one
+  /// task at a time, so scratch indexed by it is never shared.
+  std::size_t WorkerIndex() const;
+
+  /// Enqueues a task for asynchronous execution. The task must not throw:
+  /// an escaping exception terminates the program.
+  void Submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished executing.
   void Wait();
@@ -60,7 +52,7 @@ class ThreadPool {
                    std::size_t min_chunk = 256);
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(std::size_t index);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

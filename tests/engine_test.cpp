@@ -1,19 +1,25 @@
 // Tests for the concurrent query-serving engine: batched execution parity
 // with the sequential search path (bit-identical results), multi-threaded
-// stress through both SearchBatch and SubmitAsync, concurrent insert+search
-// coordination, stats accounting, and error propagation.
+// stress through both SearchBatch and SubmitAsync, overlapping batches (a
+// blocked query does not hold up the next one; writers are not starved by
+// overlapping readers), concurrent insert+search coordination, stats
+// accounting, and error propagation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <thread>
 #include <vector>
 
 #include "engine/search_engine.h"
+#include "gate.h"
 #include "index/ivf.h"
+#include "index/sharded.h"
 #include "linalg/vector_ops.h"
 #include "util/prng.h"
 
@@ -139,7 +145,6 @@ TEST_F(EngineTestFixture, MultiThreadedStressMatchesSequentialSearch) {
   EngineConfig config;
   config.num_threads = 4;
   config.max_batch = 8;
-  config.batch_linger_us = 100;
   SearchEngine engine(std::move(index), config);
 
   constexpr std::size_t kProducers = 4;
@@ -233,8 +238,8 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
   }
   // The inserts can outrun the first async search; keep the searchers alive
   // until at least one result lands so the >0 assertion below is not a race
-  // against the micro-batching linger. Deadline-bounded so a searcher
-  // regression fails the test instead of hanging it.
+  // against the searchers' start. Deadline-bounded so a searcher regression
+  // fails the test instead of hanging it.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (searches_served.load(std::memory_order_relaxed) == 0 &&
@@ -259,6 +264,182 @@ TEST_F(EngineTestFixture, ConcurrentInsertAndSearch) {
     ASSERT_EQ(result.neighbors.size(), 1u);
     EXPECT_EQ(result.neighbors[0].second, inserted_ids[i]);
     EXPECT_NEAR(result.neighbors[0].first, 0.0f, 1e-5f);
+  }
+}
+
+// Batches overlap on the pool: with one query parked at a gate inside its
+// scan, a second async query still runs on the other worker and resolves
+// while the gate is closed.
+TEST_F(EngineTestFixture, AsyncQueryOverlapsABlockedQuery) {
+  Gate gate;  // outlives the engine, whose drain waits for parked workers
+  EngineConfig config;
+  config.num_threads = 2;
+  SearchEngine engine(BuildIndex(data_, 16), config);
+  OpenGateOnExit open_on_exit{&gate};
+
+  SearchRequest blocker;
+  blocker.query = queries_.Row(0);
+  blocker.options = params_;
+  blocker.options.filter =
+      IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
+  std::future<SearchResponse> blocked = engine.SubmitAsync(blocker);
+  ASSERT_TRUE(gate.AwaitEntered(1));
+
+  SearchRequest request;
+  request.query = queries_.Row(1);
+  request.options = params_;
+  request.options.seed = SearchEngine::QuerySeed(kSeedBase, 1);
+  std::future<SearchResponse> second = engine.SubmitAsync(request);
+  ASSERT_EQ(second.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the second query waited for the blocked one";
+  EXPECT_FALSE(gate.open);
+  const SearchResponse response = second.get();
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+  ExpectSameNeighbors(response.neighbors,
+                      engine.index().Search(request).neighbors);
+
+  gate.Open();
+  EXPECT_TRUE(blocked.get().ok());
+}
+
+// Overlapping async batches keep the determinism contract: 4 producers
+// submitting to a 3-shard engine, with and without an allow-bitmap filter,
+// get results bit-identical to the sequential sharded search at equal seeds.
+TEST_F(EngineTestFixture, AsyncShardedParityWithAndWithoutFilter) {
+  ShardedConfig sharded;
+  sharded.num_shards = 3;
+  sharded.ivf.num_lists = 16;
+  ShardedIndex index;
+  ASSERT_TRUE(index.Build(data_, sharded).ok());
+
+  // Allow two ids in three.
+  std::vector<std::uint64_t> allow((kN + 63) / 64, 0);
+  for (std::size_t id = 0; id < kN; ++id) {
+    if (id % 3 != 0) allow[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+  auto make_request = [&](std::size_t i, bool filtered) {
+    SearchRequest request;
+    request.query = queries_.Row(i);
+    request.options = params_;
+    request.options.seed = SearchEngine::QuerySeed(kSeedBase, i);
+    if (filtered) {
+      request.options.filter = IdFilter::AllowBitmap(allow.data(), kN);
+    }
+    return request;
+  };
+  std::vector<std::vector<Neighbor>> reference[2];
+  for (int filtered = 0; filtered < 2; ++filtered) {
+    for (std::size_t i = 0; i < kNumQueries; ++i) {
+      const SearchResponse response =
+          index.Search(make_request(i, filtered != 0));
+      ASSERT_TRUE(response.ok()) << response.status.ToString();
+      reference[filtered].push_back(response.neighbors);
+    }
+  }
+
+  EngineConfig config;
+  config.num_threads = 4;
+  config.max_batch = 8;
+  SearchEngine engine(std::move(index), config);
+  constexpr std::size_t kProducers = 4;
+  std::vector<std::vector<std::future<SearchResponse>>> futures(kProducers);
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::size_t i = 0; i < 2 * kNumQueries; ++i) {
+        futures[p].push_back(
+            engine.SubmitAsync(make_request(i / 2, (i + p) % 2 != 0)));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t i = 0; i < 2 * kNumQueries; ++i) {
+      ASSERT_EQ(futures[p][i].wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+      const SearchResponse response = futures[p][i].get();
+      ASSERT_TRUE(response.ok()) << response.status.ToString();
+      EXPECT_EQ(response.shards_ok, 3u);
+      ExpectSameNeighbors(response.neighbors,
+                          reference[(i + p) % 2][i / 2]);
+    }
+  }
+  EXPECT_EQ(engine.Stats().queries, kProducers * 2 * kNumQueries);
+}
+
+// Writers make progress while async batches overlap. Every batch holds its
+// shards' read locks, so with batches overlapping back to back a lock that
+// lets new readers overtake a waiting writer could starve Insert, Update and
+// Delete indefinitely. Pinned deterministically for each mutation: a gated
+// query holds the read lock, the mutation starts waiting for it, and from
+// then on a new search must queue behind the mutation instead of
+// overtaking it.
+TEST_F(EngineTestFixture, WritersProgressWhileAsyncSearchesOverlap) {
+  const Matrix fresh = ClusteredData(2, kDim, 12, 123);
+  const char* const kMutations[] = {"Insert", "Update", "Delete"};
+  for (int op = 0; op < 3; ++op) {
+    SCOPED_TRACE(kMutations[op]);
+    Gate gate;  // outlives the engine, whose drain waits for parked workers
+    EngineConfig config;
+    config.num_threads = 2;
+    SearchEngine engine(BuildIndex(data_, 16), config);
+    OpenGateOnExit open_on_exit{&gate};
+
+    SearchRequest blocker;
+    blocker.query = queries_.Row(0);
+    blocker.options = params_;
+    blocker.options.filter =
+        IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
+    std::future<SearchResponse> blocked = engine.SubmitAsync(blocker);
+    ASSERT_TRUE(gate.AwaitEntered(1));
+
+    std::promise<Status> mutation;
+    std::future<Status> mutated = mutation.get_future();
+    std::thread writer([&] {
+      switch (op) {
+        case 0: mutation.set_value(engine.Insert(fresh.Row(0))); break;
+        case 1: mutation.set_value(engine.Update(5, fresh.Row(1))); break;
+        default: mutation.set_value(engine.Delete(5)); break;
+      }
+    });
+
+    // Until the writer waits, probes overlap the gated query and resolve.
+    // Once it waits, a probe must stay queued behind it; a lock that lets
+    // readers overtake a waiting writer resolves every probe and fails.
+    SearchRequest probe;
+    probe.query = queries_.Row(1);
+    probe.options = params_;
+    std::future<SearchResponse> queued;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < give_up) {
+      std::future<SearchResponse> next = engine.SubmitAsync(probe);
+      if (next.wait_for(std::chrono::milliseconds(100)) !=
+          std::future_status::ready) {
+        queued = std::move(next);
+        break;
+      }
+      EXPECT_TRUE(next.get().ok());
+    }
+    EXPECT_TRUE(queued.valid()) << "new searches overtook a waiting writer";
+    EXPECT_EQ(mutated.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+
+    gate.Open();
+    if (mutated.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      // A deadlocked writer cannot be joined: fail loudly, not by hanging.
+      std::fprintf(stderr, "%s never completed\n", kMutations[op]);
+      std::abort();
+    }
+    writer.join();
+    EXPECT_TRUE(mutated.get().ok());
+    EXPECT_TRUE(blocked.get().ok());
+    if (queued.valid()) {
+      EXPECT_TRUE(queued.get().ok());
+    }
+    EXPECT_EQ(engine.epoch(), 1u);
   }
 }
 

@@ -5,25 +5,24 @@
 // Drain() semantics -- including a drain racing concurrent submitters,
 // which the CI ThreadSanitizer job runs.
 //
-// The queue tests need the scheduler WEDGED so submissions pile up
-// deterministically. A filter predicate doubles as a gate: the first
-// blocker query parks the scheduler's one in-flight batch inside the scan
-// until the test opens the gate. No sleeps are load-bearing for the
-// accept/reject counts -- once the gate reports the scheduler entered the
-// scan, rejection is a pure function of queue capacity.
+// The queue tests need the engine WEDGED so submissions pile up
+// deterministically. A filter predicate doubles as a gate: one blocker query
+// per pool worker parks every dispatch slot inside a scan until the test
+// opens the gate, and the scheduler pops nothing while no slot is free. No
+// sleeps are load-bearing for the accept/reject counts -- once the gate
+// reports every worker entered the scan, rejection is a pure function of
+// queue capacity.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "engine/search_engine.h"
+#include "gate.h"
 #include "index/ivf.h"
 #include "index/sharded.h"
 #include "linalg/vector_ops.h"
@@ -66,38 +65,6 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& a,
   }
 }
 
-// A filter predicate that blocks its first caller until Open(): submitted
-// with one "blocker" query, it wedges the scheduler mid-batch so the test
-// can fill the queue behind it. Thread-safe (the predicate contract).
-struct Gate {
-  std::mutex m;
-  std::condition_variable cv;
-  bool open = false;
-  std::atomic<bool> entered{false};
-
-  static bool BlockUntilOpen(void* context, std::uint32_t /*id*/) {
-    Gate* gate = static_cast<Gate*>(context);
-    gate->entered.store(true, std::memory_order_release);
-    std::unique_lock<std::mutex> lock(gate->m);
-    gate->cv.wait(lock, [gate] { return gate->open; });
-    return true;
-  }
-
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      open = true;
-    }
-    cv.notify_all();
-  }
-
-  void AwaitEntered() {
-    while (!entered.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  }
-};
-
 class OverloadTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kN = 1024;
@@ -110,15 +77,31 @@ class OverloadTest : public ::testing::Test {
     params_.nprobe = 6;
   }
 
-  // An engine whose scheduler serves one query at a time with no lingering,
-  // so a gate-blocked batch wedges it completely.
+  // A two-worker engine that pops one query per batch, so two gate-blocked
+  // blockers occupy every dispatch slot (see ParkBlockers).
   SearchEngine MakeWedgeableEngine(std::size_t max_queue_depth) {
     EngineConfig config;
     config.num_threads = 2;
     config.max_batch = 1;
-    config.batch_linger_us = 0;
     config.max_queue_depth = max_queue_depth;
     return SearchEngine(BuildIndex(data_, 8), config);
+  }
+
+  // Parks one gate-filtered blocker on every pool worker of `engine` and
+  // waits until each is inside its scan: from then on the scheduler has no
+  // free slot, and every later submission waits in the queue.
+  std::vector<std::future<SearchResponse>> ParkBlockers(SearchEngine& engine,
+                                                        Gate* gate) const {
+    SearchRequest blocker = PlainRequest(0);
+    blocker.options.filter =
+        IdFilter::FromPredicate(&Gate::BlockUntilOpen, gate);
+    std::vector<std::future<SearchResponse>> blocked;
+    for (std::size_t w = 0; w < engine.num_threads(); ++w) {
+      blocked.push_back(engine.SubmitAsync(blocker));
+    }
+    EXPECT_TRUE(gate->AwaitEntered(engine.num_threads()))
+        << "blockers never parked every worker";
+    return blocked;
   }
 
   SearchRequest PlainRequest(std::size_t qi) const {
@@ -133,21 +116,20 @@ class OverloadTest : public ::testing::Test {
   IvfSearchParams params_;
 };
 
-// The pinned regression for bounded admission: with the scheduler wedged, a
+// The pinned regression for bounded admission: with the engine wedged, a
 // flood of submissions is accepted up to EXACTLY max_queue_depth and every
 // excess request fails fast with kResourceExhausted (and counts in stats)
 // instead of growing the backlog without limit.
 TEST_F(OverloadTest, QueueFullRejectsExcessSubmissions) {
   constexpr std::size_t kDepth = 4;
   constexpr std::size_t kFlood = 32;
+  Gate gate;  // outlives the engine, whose drain waits for parked workers
   SearchEngine engine = MakeWedgeableEngine(kDepth);
+  OpenGateOnExit open_on_exit{&gate};
 
-  Gate gate;
-  SearchRequest blocker = PlainRequest(0);
-  blocker.options.filter =
-      IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
-  std::future<SearchResponse> blocked = engine.SubmitAsync(blocker);
-  gate.AwaitEntered();  // scheduler is now parked inside the blocker's scan
+  // Every worker is now parked inside a blocker's scan.
+  std::vector<std::future<SearchResponse>> blocked =
+      ParkBlockers(engine, &gate);
 
   std::vector<std::future<SearchResponse>> flood;
   flood.reserve(kFlood);
@@ -171,7 +153,7 @@ TEST_F(OverloadTest, QueueFullRejectsExcessSubmissions) {
   EXPECT_EQ(rejected, kFlood - kDepth);
 
   gate.Open();
-  EXPECT_TRUE(blocked.get().ok());
+  for (auto& future : blocked) EXPECT_TRUE(future.get().ok());
   for (std::size_t i = 0; i < kDepth; ++i) {
     const SearchResponse response = flood[i].get();
     EXPECT_TRUE(response.ok()) << response.status.message();
@@ -186,17 +168,14 @@ TEST_F(OverloadTest, QueueFullRejectsExcessSubmissions) {
 // Requests whose deadline expires while they wait in the queue are shed
 // unexecuted: kDeadlineExceeded, empty + partial response, shed counter.
 TEST_F(OverloadTest, QueuedRequestsPastDeadlineAreShed) {
-  SearchEngine engine = MakeWedgeableEngine(/*max_queue_depth=*/64);
-
   Gate gate;
-  SearchRequest blocker = PlainRequest(0);
-  blocker.options.filter =
-      IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
-  std::future<SearchResponse> blocked = engine.SubmitAsync(blocker);
-  gate.AwaitEntered();
+  SearchEngine engine = MakeWedgeableEngine(/*max_queue_depth=*/64);
+  OpenGateOnExit open_on_exit{&gate};
+  std::vector<std::future<SearchResponse>> blocked =
+      ParkBlockers(engine, &gate);
 
   // A 1us budget resolved at admission: long expired by the time the
-  // scheduler unwedges. A no-deadline request queued behind them must still
+  // engine unwedges. A no-deadline request queued behind them must still
   // be served -- shedding skips it without consuming its batch slot.
   constexpr std::size_t kDoomed = 3;
   std::vector<std::future<SearchResponse>> doomed;
@@ -209,7 +188,7 @@ TEST_F(OverloadTest, QueuedRequestsPastDeadlineAreShed) {
 
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   gate.Open();
-  EXPECT_TRUE(blocked.get().ok());
+  for (auto& future : blocked) EXPECT_TRUE(future.get().ok());
 
   for (auto& future : doomed) {
     const SearchResponse response = future.get();

@@ -1,10 +1,12 @@
 // Tests for the rotators: orthogonality (norm/inner-product preservation),
-// inverse consistency, padding semantics, determinism, FHT power-of-two
-// handling -- parameterized over both rotator kinds.
+// inverse consistency, padding semantics, determinism, bit-identity of the
+// batched row-block rotation, FHT power-of-two handling -- parameterized
+// over both rotator kinds.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/rotator.h"
 #include "linalg/vector_ops.h"
@@ -109,6 +111,33 @@ TEST_P(RotatorParamTest, DifferentSeedsGiveDifferentRotations) {
     diff += std::fabs(a[i] - b[i]);
   }
   EXPECT_GT(diff, 0.1f);
+}
+
+// The serving engine rotates each worker's block of batch rows through
+// InverseRotateRows (a strided sub-block of the gathered batch); every row
+// must carry exactly the bits of a single-query InverseRotate, or batched
+// search would drift from the sequential reference.
+TEST_P(RotatorParamTest, InverseRotateRowsIsBitIdenticalToRowByRow) {
+  const RotatorCase c = GetParam();
+  Rng rng(c.dim + 11);
+  constexpr std::size_t kRows = 11;  // spans a partial tile of the kernel
+  const std::size_t stride = c.dim + 3;
+  std::vector<float> batch(kRows * stride);
+  for (auto& x : batch) x = static_cast<float>(rng.Gaussian());
+  const std::size_t padded = rotator_->padded_dim();
+  // A block starting mid-batch, as a worker's chunk does.
+  constexpr std::size_t kFirst = 2;
+  std::vector<float> block((kRows - kFirst) * padded);
+  rotator_->InverseRotateRows(batch.data() + kFirst * stride, stride,
+                              kRows - kFirst, block.data());
+  std::vector<float> row(padded);
+  for (std::size_t r = kFirst; r < kRows; ++r) {
+    rotator_->InverseRotate(batch.data() + r * stride, row.data());
+    for (std::size_t i = 0; i < padded; ++i) {
+      ASSERT_EQ(block[(r - kFirst) * padded + i], row[i])
+          << "row " << r << " coordinate " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -28,11 +28,13 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/search_engine.h"
+#include "gate.h"
 #include "index/sharded.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -239,24 +241,58 @@ TEST_F(ServerTest, PredicateFilterCannotCrossTheWire) {
 }
 
 // Overload degradation crosses the wire: a request whose deadline expires
-// while queued (forced deterministically by a linger much longer than the
-// budget) answers kDeadlineExceeded with the partial flag set -- the same
-// shape the in-process overload tests pin.
+// while queued (forced deterministically by wedging the collection's engine
+// with one in-process gate blocker per pool worker, so the request waits in
+// the queue until its budget has lapsed) answers kDeadlineExceeded with the
+// partial flag set -- the same shape the in-process overload tests pin.
 TEST_F(ServerTest, QueuedDeadlineShedCrossesTheWireAsPartial) {
+  Gate gate;  // outlives the server, whose drain waits for parked workers
   ServerConfig config = BaseConfig();
   config.collections.engine.max_batch = 32;
-  config.collections.engine.batch_linger_us = 5000;
   Server server(config);
   ASSERT_TRUE(server.Start().ok());
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   ASSERT_TRUE(
       client.CreateCollection("shed", Spec(Metric::kL2, 1), data_).ok());
+  OpenGateOnExit open_on_exit{&gate};
+
+  const std::shared_ptr<Collection> collection =
+      server.collections()->Get("shed");
+  ASSERT_NE(collection, nullptr);
+  SearchEngine& engine = *collection->engine;
+  SearchRequest blocker;
+  blocker.query = queries_.Row(1);
+  blocker.options = SeededOptions(1);
+  blocker.options.filter =
+      IdFilter::FromPredicate(&Gate::BlockUntilOpen, &gate);
+  std::vector<std::future<SearchResponse>> blocked;
+  for (std::size_t w = 0; w < engine.num_threads(); ++w) {
+    blocked.push_back(engine.SubmitAsync(blocker));
+  }
+  ASSERT_TRUE(gate.AwaitEntered(engine.num_threads()));
 
   SearchOptions options = SeededOptions(9);
-  options.timeout_us = 1;  // resolved at admission; long dead after linger
-  const SearchResponse response =
-      client.Search("shed", queries_.Row(0), kDim, options);
+  options.timeout_us = 1;  // resolved at admission; long dead once unwedged
+  SearchResponse response;
+  std::thread searcher([&] {
+    response = client.Search("shed", queries_.Row(0), kDim, options);
+  });
+  // Unwedge only once the request is queued and its budget has lapsed
+  // (admitted before it became visible in the queue, so 1 ms later it is
+  // certainly expired). Deadline-bounded: a request that never queues fails
+  // the assertions below instead of hanging the test.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (engine.queue_depth() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gate.Open();
+  searcher.join();
+  for (auto& future : blocked) EXPECT_TRUE(future.get().ok());
+
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded)
       << response.status.message();
   EXPECT_TRUE(response.partial);

@@ -1,17 +1,24 @@
 // Unit tests for the util substrate: Status, bit operations, PRNG,
-// aligned storage, thread pool, and *vecs file I/O.
+// aligned storage, thread pool, the fair reader/writer lock, and *vecs file
+// I/O.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <numeric>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/aligned_buffer.h"
 #include "util/bit_ops.h"
 #include "util/io.h"
 #include "util/prng.h"
+#include "util/shared_mutex.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -199,6 +206,62 @@ TEST(ThreadPoolTest, SubmitAndWait) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPoolTest, WorkerIndexIsUniquePerWorker) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.WorkerIndex(), ThreadPool::kNotAWorker);
+  std::mutex mu;
+  std::vector<std::size_t> seen;
+  // Tasks that hold their worker until all three run, so each worker
+  // reports exactly once.
+  std::atomic<int> arrived{0};
+  for (int t = 0; t < 3; ++t) {
+    pool.Submit([&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.push_back(pool.WorkerIndex());
+      }
+      arrived.fetch_add(1);
+      while (arrived.load() < 3) std::this_thread::yield();
+    });
+  }
+  pool.Wait();
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+// The engine takes a batch's read locks on one thread and drops them on
+// another, and relies on a waiting writer holding back new readers.
+TEST(FairSharedMutexTest, WaitingWriterHoldsBackNewReaders) {
+  FairSharedMutex mu;
+  mu.lock_shared();
+  std::atomic<bool> wrote{false};
+  std::thread writer([&] {
+    mu.lock();
+    wrote.store(true);
+    mu.unlock();
+  });
+  // Readers get in until the writer starts waiting; then they are refused.
+  bool refused = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!refused && std::chrono::steady_clock::now() < give_up) {
+    if (mu.try_lock_shared()) {
+      mu.unlock_shared();
+      std::this_thread::yield();
+    } else {
+      refused = true;
+    }
+  }
+  EXPECT_TRUE(refused);
+  EXPECT_FALSE(wrote.load());
+  // Released from a thread that never locked it.
+  std::thread([&] { mu.unlock_shared(); }).join();
+  writer.join();
+  EXPECT_TRUE(wrote.load());
+  EXPECT_TRUE(mu.try_lock_shared());
+  mu.unlock_shared();
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {
